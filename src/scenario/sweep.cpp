@@ -176,6 +176,37 @@ std::size_t read_manifest(const std::string& manifest_path,
 std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) {
   const std::vector<std::pair<Json, std::uint64_t>> grid = expand_grid(sweep);
 
+  std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();
+  threads = std::max<std::size_t>(1, std::min(threads, grid.size()));
+  const bool parallel = threads > 1;
+
+  // Validated before any filesystem side effect, so a refused sweep creates
+  // no directory and leaves an existing manifest alone. Per-run obs contexts
+  // attribute metrics and traces correctly at any thread count; the only
+  // remaining hazard is several runs writing the SAME trace file
+  // concurrently via a fixed obs.trace path. trace_dir is the supported
+  // spelling (one file per run index).
+  if (parallel && sweep.trace_dir.empty()) {
+    bool fixed_trace = false;
+    if (const Json* obs = sweep.base.find("obs")) {
+      fixed_trace = !obs->string_or("trace", "").empty();
+    }
+    for (const auto& [params, seed] : grid) {
+      (void)seed;
+      if (const Json* trace = params.find("obs.trace")) {
+        fixed_trace = fixed_trace || !trace->as_string().empty();
+      }
+      if (const Json* obs = params.find("obs")) {
+        fixed_trace = fixed_trace || !obs->string_or("trace", "").empty();
+      }
+    }
+    if (fixed_trace) {
+      throw std::invalid_argument(
+          "sweep: a fixed obs.trace path with threads>1 would have concurrent runs "
+          "overwrite one file; set \"trace_dir\" instead (per-run run-<idx>.trace.json)");
+    }
+  }
+
   const std::filesystem::path out_path(sweep.out_path);
   if (out_path.has_parent_path()) std::filesystem::create_directories(out_path.parent_path());
   if (!sweep.trace_dir.empty()) std::filesystem::create_directories(sweep.trace_dir);
@@ -199,35 +230,6 @@ std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) 
 
   std::vector<SweepRun> results(grid.size());
   std::mutex sink_mutex;
-
-  std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();
-  threads = std::max<std::size_t>(1, std::min(threads, grid.size()));
-  const bool parallel = threads > 1;
-
-  // Per-run obs contexts attribute metrics and traces correctly at any
-  // thread count; the only remaining hazard is several runs writing the
-  // SAME trace file concurrently via a fixed obs.trace path. trace_dir is
-  // the supported spelling (one file per run index).
-  if (parallel && sweep.trace_dir.empty()) {
-    bool fixed_trace = false;
-    if (const Json* obs = sweep.base.find("obs")) {
-      fixed_trace = !obs->string_or("trace", "").empty();
-    }
-    for (const auto& [params, seed] : grid) {
-      (void)seed;
-      if (const Json* trace = params.find("obs.trace")) {
-        fixed_trace = fixed_trace || !trace->as_string().empty();
-      }
-      if (const Json* obs = params.find("obs")) {
-        fixed_trace = fixed_trace || !obs->string_or("trace", "").empty();
-      }
-    }
-    if (fixed_trace) {
-      throw std::invalid_argument(
-          "sweep: a fixed obs.trace path with threads>1 would have concurrent runs "
-          "overwrite one file; set \"trace_dir\" instead (per-run run-<idx>.trace.json)");
-    }
-  }
 
   auto run_one = [&](std::size_t run_index) {
     results[run_index].run_index = run_index;

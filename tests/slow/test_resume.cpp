@@ -11,8 +11,6 @@
 //   SPECDAG_REGEN_GOLDEN=1 ./specdag_slow_tests --gtest_filter='GoldenReplay*'
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -22,29 +20,12 @@
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "../temp_dir.hpp"
 
 namespace specdag {
 namespace {
 
 namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("specdag-slow-" + tag + "-" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const { return (path_ / name).string(); }
-
- private:
-  fs::path path_;
-};
 
 // write_series_jsonl with the wall-clock walk timing zeroed — the only
 // nondeterministic field in the stream.

@@ -11,6 +11,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
+#include "temp_dir.hpp"
 
 namespace specdag {
 namespace {
@@ -461,7 +462,8 @@ TEST(Sweep, GridExpansionAndParallelExecution) {
 TEST(Sweep, ParallelSweepAttributesObsPerRun) {
   if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   namespace fs = std::filesystem;
-  const std::string trace_dir = ::testing::TempDir() + "test_sweep_traces";
+  const TempDir scratch("sweep-obs");
+  const std::string trace_dir = scratch.file("traces");
   scenario::SweepSpec sweep;
   sweep.base = scenario::spec_to_json(tiny_spec("fmnist-clustered"));
   sweep.base.set("rounds", scenario::Json(2));
@@ -470,7 +472,7 @@ TEST(Sweep, ParallelSweepAttributesObsPerRun) {
   // would be visible in the counters.
   sweep.axes.push_back({"clients_per_round", {scenario::Json(2), scenario::Json(4)}});
   sweep.threads = 2;
-  sweep.out_path = "test_sweep_obs.jsonl";
+  sweep.out_path = scratch.file("test_sweep_obs.jsonl");
   sweep.trace_dir = trace_dir;
 
   const std::vector<scenario::SweepRun> parallel = scenario::run_sweep(sweep);
@@ -492,7 +494,7 @@ TEST(Sweep, ParallelSweepAttributesObsPerRun) {
   // only wall-clock metrics like pool.*_nanos may differ).
   sweep.threads = 1;
   sweep.trace_dir.clear();
-  sweep.out_path = "test_sweep_obs_serial.jsonl";
+  sweep.out_path = scratch.file("test_sweep_obs_serial.jsonl");
   const std::vector<scenario::SweepRun> serial = scenario::run_sweep(sweep);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -519,14 +521,12 @@ TEST(Sweep, ParallelSweepAttributesObsPerRun) {
                 serial[1].result.obs_totals.counter("tipsel.walks"));
 
   // A fixed obs.trace path at threads>1 (no trace_dir) would have the runs
-  // overwrite one file; still rejected, with trace_dir as the fix.
+  // overwrite one file; still rejected, with trace_dir as the fix. The
+  // refusal comes before any filesystem side effect: no manifest is created.
   sweep.threads = 2;
   sweep.base.set_path("obs.trace", scenario::Json("sweep.trace.json"));
   EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
-  std::remove("test_sweep_obs.jsonl");
-  std::remove("test_sweep_obs_serial.jsonl");
-  std::error_code ec;
-  fs::remove_all(trace_dir, ec);
+  EXPECT_FALSE(fs::exists(sweep.out_path + ".partial"));
 }
 
 TEST(Sweep, FixedSeedModeReusesBaseSeed) {

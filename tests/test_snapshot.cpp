@@ -5,8 +5,6 @@
 // tiny scenario.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -22,30 +20,12 @@
 #include "snapshot/access.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/snapshot.hpp"
+#include "temp_dir.hpp"
 
 namespace specdag {
 namespace {
 
 namespace fs = std::filesystem;
-
-// A unique scratch directory per test; removed on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() / ("specdag-" + tag + "-" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const fs::path& path() const { return path_; }
-  std::string file(const std::string& name) const { return (path_ / name).string(); }
-
- private:
-  fs::path path_;
-};
 
 TEST(SnapshotCodec, WriterReaderRoundTrip) {
   snapshot::Writer w;
