@@ -12,8 +12,8 @@
 //   --rounds N     override the spec's round count / async horizon
 //   --seed N       override the spec's seed
 //   --clients N    override the spec's client count (resizable presets)
-//   --threads N    prepare-phase workers (0 = hardware, 1 = serial);
-//                  results are bit-identical across values
+//   --threads N    prepare-phase workers (0 = hardware, 1 = serial, at
+//                  most 1024); results are bit-identical across values
 //   --delta on|off override the payload store's delta encoding
 //   --sync-encode  encode deltas inline on the commit path instead of the
 //                  background pipeline (results are bit-identical; this is
@@ -65,6 +65,8 @@
 #include <filesystem>
 #include <functional>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,10 +74,26 @@
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace specdag;
+
+// Reads a numeric flag value, exiting with a usage error unless the whole
+// token is a non-negative integer no larger than `max`.
+std::uint64_t parse_number(const std::string& flag, const std::string& text,
+                           std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (const std::optional<std::uint64_t> value = parse_uint(text, max)) return *value;
+  std::cerr << flag << ": \"" << text << "\" is not an integer in [0, " << max << "]\n";
+  std::exit(2);
+}
+
+// Worker counts are capped so a typo cannot ask for millions of threads.
+std::size_t parse_threads(const std::string& flag, const std::string& text) {
+  return parse_number(flag, text, ThreadPool::kMaxThreads);
+}
 
 int usage(std::ostream& out, int code) {
   out << "usage: specdag <command> [options]\n"
@@ -203,13 +221,13 @@ bool apply_spec_override(const std::string& flag,
                          scenario::ScenarioSpec& spec,
                          std::vector<std::string>& attack_overrides) {
   if (flag == "--rounds") {
-    spec.rounds = std::strtoull(next().c_str(), nullptr, 10);
+    spec.rounds = parse_number(flag, next());
   } else if (flag == "--seed") {
-    spec.seed = std::strtoull(next().c_str(), nullptr, 10);
+    spec.seed = parse_number(flag, next());
   } else if (flag == "--clients") {
-    spec.num_clients = std::strtoull(next().c_str(), nullptr, 10);
+    spec.num_clients = parse_number(flag, next());
   } else if (flag == "--threads") {
-    spec.threads = std::strtoull(next().c_str(), nullptr, 10);
+    spec.threads = parse_threads(flag, next());
   } else if (flag == "--algorithm") {
     spec.algorithm = scenario::algorithm_from_string(next());
   } else if (flag == "--attack") {
@@ -236,9 +254,9 @@ bool apply_spec_override(const std::string& flag,
     spec.checkpoint.dir = next();
     if (spec.checkpoint.every_n_rounds == 0) spec.checkpoint.every_n_rounds = 1;
   } else if (flag == "--checkpoint-every") {
-    spec.checkpoint.every_n_rounds = std::strtoull(next().c_str(), nullptr, 10);
+    spec.checkpoint.every_n_rounds = parse_number(flag, next());
   } else if (flag == "--checkpoint-keep") {
-    spec.checkpoint.keep_last = std::strtoull(next().c_str(), nullptr, 10);
+    spec.checkpoint.keep_last = parse_number(flag, next());
   } else if (flag == "--obs") {
     const std::string& value = next();
     if (value == "on" || value == "true" || value == "1") {
@@ -305,7 +323,7 @@ int cmd_run_resume(const std::vector<std::string>& args) {
     auto next = value_getter(args, i, "run");
     if (flag == "--threads") {
       overrides.has_threads = true;
-      overrides.threads = std::strtoull(next().c_str(), nullptr, 10);
+      overrides.threads = parse_threads(flag, next());
     } else if (flag == "--series") {
       include_series = true;
     } else if (flag == "--csv") {
@@ -382,7 +400,7 @@ int cmd_replay(const std::vector<std::string>& args) {
       rounds_window = next();
     } else if (flag == "--threads") {
       overrides.has_threads = true;
-      overrides.threads = std::strtoull(next().c_str(), nullptr, 10);
+      overrides.threads = parse_threads(flag, next());
     } else if (flag == "--jsonl") {
       jsonl_path = next();
     } else if (flag == "--quiet") {
@@ -397,8 +415,8 @@ int cmd_replay(const std::vector<std::string>& args) {
     std::cerr << "replay: --rounds A..B is required (1-based, inclusive)\n";
     return 2;
   }
-  const std::size_t first = std::strtoull(rounds_window.c_str(), nullptr, 10);
-  const std::size_t last = std::strtoull(rounds_window.c_str() + dots + 2, nullptr, 10);
+  const std::size_t first = parse_number("--rounds", rounds_window.substr(0, dots));
+  const std::size_t last = parse_number("--rounds", rounds_window.substr(dots + 2));
   SPECDAG_LOG(Info) << "replaying rounds " << first << ".." << last << " from " << checkpoint
                     << "...";
   const scenario::ScenarioResult result =
@@ -482,7 +500,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     if (flag == "--out") {
       sweep.out_path = next();
     } else if (flag == "--threads") {
-      sweep.threads = std::strtoull(next().c_str(), nullptr, 10);
+      sweep.threads = parse_threads(flag, next());
     } else if (flag == "--trace-dir") {
       sweep.trace_dir = next();
     } else if (flag == "--metrics-out") {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+
+#include "util/thread_pool.hpp"
 
 namespace specdag::data {
 
@@ -47,10 +50,10 @@ void normalize_unit(std::vector<float>& img) {
   for (auto& v : img) v = (v - *mn) / range;
 }
 
-// Renders one sample: prototype shifted by (dy, dx) plus pixel noise.
-std::vector<float> render_sample(const std::vector<float>& prototype, std::size_t size,
-                                 int dy, int dx, double noise_stddev, Rng& rng) {
-  std::vector<float> img(size * size, 0.0f);
+// Renders one sample (prototype shifted by (dy, dx) plus pixel noise) onto
+// the end of `out`, which the caller has reserved.
+void render_sample(const std::vector<float>& prototype, std::size_t size, int dy, int dx,
+                   double noise_stddev, Rng& rng, std::vector<float>& out) {
   for (std::size_t y = 0; y < size; ++y) {
     for (std::size_t x = 0; x < size; ++x) {
       const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y) - dy;
@@ -60,11 +63,10 @@ std::vector<float> render_sample(const std::vector<float>& prototype, std::size_
           sx < static_cast<std::ptrdiff_t>(size)) {
         v = prototype[static_cast<std::size_t>(sy) * size + static_cast<std::size_t>(sx)];
       }
-      img[y * size + x] =
-          std::clamp(v + static_cast<float>(rng.normal(0.0, noise_stddev)), 0.0f, 1.0f);
+      out.push_back(
+          std::clamp(v + static_cast<float>(rng.normal(0.0, noise_stddev)), 0.0f, 1.0f));
     }
   }
-  return img;
 }
 
 int cluster_of_class(int cls) {
@@ -75,15 +77,52 @@ int cluster_of_class(int cls) {
   throw std::invalid_argument("cluster_of_class: class outside 0-9");
 }
 
+// An empty client whose training buffers hold all of its samples without
+// regrowing.
+ClientData reserved_client(std::size_t id, int true_cluster, const Shape& element_shape,
+                           const SyntheticDigitsConfig& config) {
+  ClientData client;
+  client.client_id = static_cast<int>(id);
+  client.true_cluster = true_cluster;
+  client.element_shape = element_shape;
+  client.train_x.reserve(config.samples_per_client * client.element_numel());
+  client.train_y.reserve(config.samples_per_client);
+  return client;
+}
+
 void append_sample(ClientData& client, const std::vector<std::vector<float>>& prototypes,
                    int cls, const SyntheticDigitsConfig& config, Rng& rng) {
   const int shift_range = static_cast<int>(config.max_shift);
   const int dy = static_cast<int>(rng.uniform_int(-shift_range, shift_range));
   const int dx = static_cast<int>(rng.uniform_int(-shift_range, shift_range));
-  std::vector<float> img = render_sample(prototypes[static_cast<std::size_t>(cls)],
-                                         config.image_size, dy, dx, config.noise_stddev, rng);
-  client.train_x.insert(client.train_x.end(), img.begin(), img.end());
+  render_sample(prototypes[static_cast<std::size_t>(cls)], config.image_size, dy, dx,
+                config.noise_stddev, rng, client.train_x);
   client.train_y.push_back(cls);
+}
+
+// Below this many clients per worker a worker's share does not repay
+// starting it, so small datasets build on the calling thread.
+constexpr std::size_t kMinClientsPerWorker = 64;
+
+// Builds clients [0, n) as make_client(i), each into its own slot, on up to
+// one worker per hardware thread; worker w takes clients w, w + workers, ...
+// Every client draws only from its own forked stream and reads shared data
+// only, so the result is bit-identical to a serial loop at any worker count.
+template <typename MakeClient>
+std::vector<ClientData> build_clients(std::size_t n, const MakeClient& make_client) {
+  std::vector<ClientData> clients(n);
+  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::clamp<std::size_t>(n / kMinClientsPerWorker, 1, hardware);
+  const auto fill = [&](std::size_t w) {
+    for (std::size_t i = w; i < n; i += workers) clients[i] = make_client(i);
+  };
+  if (workers == 1) {
+    fill(0);
+  } else {
+    ThreadPool pool(workers, "data");
+    pool.parallel_for(workers, fill);
+  }
+  return clients;
 }
 
 void check_config(const SyntheticDigitsConfig& config) {
@@ -127,14 +166,12 @@ FederatedDataset make_fmnist_clustered(const SyntheticDigitsConfig& config) {
   ds.num_clusters = kFmnistClusterClasses.size();
   ds.element_shape = {1, config.image_size, config.image_size};
 
-  Rng root(config.seed);
-  for (std::size_t i = 0; i < config.num_clients; ++i) {
+  const Rng root(config.seed);
+  ds.clients = build_clients(config.num_clients, [&](std::size_t i) {
     Rng rng = root.fork(0xC11E0000ULL + i);
-    ClientData client;
-    client.client_id = static_cast<int>(i);
-    client.true_cluster = static_cast<int>(i % ds.num_clusters);
-    client.element_shape = ds.element_shape;
-    const auto& own_classes = kFmnistClusterClasses[static_cast<std::size_t>(client.true_cluster)];
+    const int cluster = static_cast<int>(i % ds.num_clusters);
+    ClientData client = reserved_client(i, cluster, ds.element_shape, config);
+    const auto& own_classes = kFmnistClusterClasses[static_cast<std::size_t>(cluster)];
 
     const double relax_fraction = config.relax_max > 0.0
                                       ? rng.uniform(config.relax_min, config.relax_max)
@@ -145,15 +182,15 @@ FederatedDataset make_fmnist_clustered(const SyntheticDigitsConfig& config) {
         // Foreign sample: uniform over classes outside the own cluster.
         do {
           cls = static_cast<int>(rng.index(config.num_classes));
-        } while (cluster_of_class(cls) == client.true_cluster);
+        } while (cluster_of_class(cls) == cluster);
       } else {
         cls = own_classes[rng.index(own_classes.size())];
       }
       append_sample(client, prototypes, cls, config, rng);
     }
     train_test_split(client, config.test_fraction, rng);
-    ds.clients.push_back(std::move(client));
-  }
+    return client;
+  });
   ds.validate();
   return ds;
 }
@@ -171,13 +208,10 @@ FederatedDataset make_fmnist_by_author(const SyntheticDigitsConfig& config,
   ds.num_clusters = 1;  // no synthetic cluster structure
   ds.element_shape = {1, config.image_size, config.image_size};
 
-  Rng root(config.seed);
-  for (std::size_t i = 0; i < config.num_clients; ++i) {
+  const Rng root(config.seed);
+  ds.clients = build_clients(config.num_clients, [&](std::size_t i) {
     Rng rng = root.fork(0xA0700000ULL + i);
-    ClientData client;
-    client.client_id = static_cast<int>(i);
-    client.true_cluster = 0;
-    client.element_shape = ds.element_shape;
+    ClientData client = reserved_client(i, 0, ds.element_shape, config);
     const std::vector<double> class_probs = rng.dirichlet(config.num_classes,
                                                           class_concentration);
     for (std::size_t s = 0; s < config.samples_per_client; ++s) {
@@ -185,8 +219,8 @@ FederatedDataset make_fmnist_by_author(const SyntheticDigitsConfig& config,
       append_sample(client, prototypes, cls, config, rng);
     }
     train_test_split(client, config.test_fraction, rng);
-    ds.clients.push_back(std::move(client));
-  }
+    return client;
+  });
   ds.validate();
   return ds;
 }

@@ -221,18 +221,17 @@ StoreResidencyPoint sample_store_residency(std::size_t round, const dag::Dag& da
 }
 
 // Per-round obs sampling on the run's own context (installed by ObsSession
-// before the simulator is built, so Registry::snapshot() resolves to it).
-// The context starts from zero; snapshot deltas still attribute per round,
-// and stay correct even with other runs executing concurrently — each run
-// only ever sees its own context's cells. Snapshots happen outside the
-// simulators' timed sections, so summary.perf stays comparable.
+// before the dataset is built, so Registry::snapshot() resolves to it).
+// The context starts from zero, so the whole-run totals are its final
+// snapshot and include the set-up work before the first round (the dataset
+// build's pool.data.*); snapshot deltas attribute per round, and stay
+// correct even with other runs executing concurrently — each run only ever
+// sees its own context's cells. Snapshots happen outside the simulators'
+// timed sections, so summary.perf stays comparable.
 class ObsRoundSampler {
  public:
   ObsRoundSampler() : enabled_(obs::metrics_enabled()) {
-    if (enabled_) {
-      begin_ = obs::Registry::snapshot();
-      previous_ = begin_;
-    }
+    if (enabled_) previous_ = obs::Registry::snapshot();
   }
 
   void sample_round(std::size_t round, ScenarioResult& result) {
@@ -247,14 +246,21 @@ class ObsRoundSampler {
   void finish(ScenarioResult& result) {
     if (!enabled_) return;
     result.obs_enabled = true;
-    result.obs_totals = obs::Registry::snapshot().delta_from(begin_);
+    result.obs_totals = obs::Registry::snapshot();
   }
 
  private:
   bool enabled_;
-  obs::MetricsSnapshot begin_;
   obs::MetricsSnapshot previous_;
 };
+
+// Busy-time sum over (wall x every worker whose busy time the buckets count:
+// the prepare workers plus the store's background encoders), so a fully
+// busy run reads 1 at any thread count.
+double utilization(const ScenarioResult& result) {
+  return result.perf.utilization(
+      std::max<std::size_t>(1, result.prepare_threads + result.encode_threads));
+}
 
 // Attribution-drift check (run after perf and obs totals are final): the
 // context-local pool.prepare busy time and summary.perf's phase busy time
@@ -276,8 +282,7 @@ void warn_on_obs_perf_skew(const ScenarioResult& result) {
   if (std::abs(busy_s - phase_busy_s) > tolerance) {
     SPECDAG_LOG(Warn) << "obs: pool.prepare busy time (" << busy_s << "s busy, " << idle_s
                       << "s idle) does not reconcile with summary.perf phase busy time ("
-                      << phase_busy_s << "s, utilization "
-                      << result.perf.utilization(result.prepare_threads)
+                      << phase_busy_s << "s, utilization " << utilization(result)
                       << ") — per-run obs attribution may be skewed";
   }
 }
@@ -468,6 +473,7 @@ ScenarioResult run_round_scenario(const ScenarioSpec& spec, sim::ExperimentPrese
   obs_sampler.finish(result);
   result.perf = simulator.perf();
   result.prepare_threads = simulator.prepare_threads();
+  result.encode_threads = simulator.dag().store().encode_workers();
   if (control.finalize) {
     finalize_result(spec, simulator.dataset(), preset.factory, simulator.network(), attacks,
                     options, result);
@@ -558,6 +564,7 @@ ScenarioResult run_async_scenario(const ScenarioSpec& spec, sim::ExperimentPrese
   obs_sampler.finish(result);
   result.perf = simulator.perf();
   result.prepare_threads = simulator.prepare_threads();
+  result.encode_threads = simulator.dag().store().encode_workers();
   if (control.finalize) {
     finalize_result(spec, simulator.dataset(), preset.factory, simulator.network(), attacks,
                     options, result);
@@ -952,10 +959,10 @@ Json result_to_json(const ScenarioResult& result, bool include_series) {
       perf.set("prepares", result.perf.prepares);
       perf.set("commits", result.perf.commits);
       perf.set("threads", result.prepare_threads);
-      // Busy-time sum over (wall x threads): normalizes the busy/wall bucket
-      // mix into one comparable number across thread counts.
-      perf.set("utilization",
-               result.perf.utilization(std::max<std::size_t>(1, result.prepare_threads)));
+      perf.set("encode_threads", result.encode_threads);
+      // Normalizes the busy/wall bucket mix into one comparable number
+      // across thread counts.
+      perf.set("utilization", utilization(result));
       summary.set("perf", std::move(perf));
     }
 

@@ -114,10 +114,13 @@ struct ScenarioResult {
   std::vector<StoreResidencyPoint> store_series;
 
   // Per-phase timing breakdown (tipsel / train / eval / commit) and the
-  // worker count the prepare phase ran with (DAG algorithm only; the
-  // baselines have no walk/commit phases to break down).
+  // worker counts the prepare phase and the store's background encoder ran
+  // with (DAG algorithm only; the baselines have no walk/commit phases to
+  // break down). summary.perf.utilization divides by both worker counts,
+  // because the encode bucket counts the encoder's busy time.
   sim::PhaseTimings perf;
   std::size_t prepare_threads = 0;
+  std::size_t encode_threads = 0;
 
   // Obs metrics attributed to this run: whole-run registry delta plus the
   // per-round samples (DAG algorithm only; empty when spec.obs.metrics is

@@ -1,6 +1,9 @@
 #include "scenario/spec.hpp"
 
 #include <stdexcept>
+#include <string>
+
+#include "util/thread_pool.hpp"
 
 namespace specdag::scenario {
 namespace {
@@ -437,6 +440,14 @@ void ScenarioSpec::validate() const {
     if (flip.stop_round != 0 && flip.stop_round <= flip.start_round) {
       throw std::invalid_argument("scenario: label_flip.stop_round must be after start_round");
     }
+  }
+  if (threads > ThreadPool::kMaxThreads) {
+    throw std::invalid_argument("scenario: threads must be <= " +
+                                std::to_string(ThreadPool::kMaxThreads));
+  }
+  if (store.encode_threads > ThreadPool::kMaxThreads) {
+    throw std::invalid_argument("scenario: store.encode_threads must be <= " +
+                                std::to_string(ThreadPool::kMaxThreads));
   }
   if (store.anchor_interval == 0) {
     throw std::invalid_argument("scenario: store.anchor_interval must be > 0");

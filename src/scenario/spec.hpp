@@ -177,8 +177,9 @@ struct ScenarioSpec {
   bool parallel_prepare = true;
   // Worker threads for the simulators' parallel prepare phase (round: the
   // per-round client batch; async: serially-equivalent step batches).
-  // 0 = one per hardware thread, 1 = serial. Bit-identical results across
-  // values — this is a wall-clock knob, not a semantic one.
+  // 0 = one per hardware thread, 1 = serial, at most
+  // ThreadPool::kMaxThreads. Bit-identical results across values — this is
+  // a wall-clock knob, not a semantic one.
   std::size_t threads = 0;
   // Evaluate every client's personalized consensus model at the end (one
   // biased walk + test-set evaluation per client — the expensive metric).

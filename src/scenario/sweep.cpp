@@ -174,6 +174,10 @@ std::size_t read_manifest(const std::string& manifest_path,
 }  // namespace
 
 std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) {
+  if (sweep.threads > ThreadPool::kMaxThreads) {
+    throw std::invalid_argument("sweep: threads must be <= " +
+                                std::to_string(ThreadPool::kMaxThreads));
+  }
   const std::vector<std::pair<Json, std::uint64_t>> grid = expand_grid(sweep);
 
   std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();

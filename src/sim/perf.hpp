@@ -53,8 +53,9 @@ struct PhaseTimings {
   }
 
   // Fraction of the available CPU budget (wall x threads) the phase buckets
-  // account for. 1.0 = every worker busy in an accounted phase for the whole
-  // run; serial runs read it as "fraction of wall time inside the buckets".
+  // account for. `threads` counts every worker whose busy time lands in a
+  // bucket: the prepare workers plus any background encoders. 1.0 = every
+  // such worker busy in an accounted phase for the whole run.
   double utilization(std::size_t threads) const {
     if (total_seconds <= 0.0 || threads == 0) return 0.0;
     return phase_sum_seconds() / (total_seconds * static_cast<double>(threads));

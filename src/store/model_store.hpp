@@ -172,6 +172,9 @@ class ModelStore {
   // the barrier before asserting delta_ratio.
   void drain() const;
 
+  // Background encode workers (0 in synchronous mode).
+  std::size_t encode_workers() const { return encode_pool_ ? encode_pool_->size() : 0; }
+
   // Cumulative nanoseconds of encode work done inline in put() — the part
   // of the codec cost that sits on the caller's (commit) path. The
   // simulators sample this around their commit sections to split the

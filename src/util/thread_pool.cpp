@@ -10,6 +10,11 @@
 namespace specdag {
 
 ThreadPool::ThreadPool(std::size_t num_threads, const char* name) : name_(name) {
+  if (num_threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: " + std::to_string(num_threads) +
+                                " workers exceeds the limit of " +
+                                std::to_string(kMaxThreads));
+  }
   // 0 = one worker per hardware thread (which itself may report 0 on
   // exotic platforms, hence the final clamp to at least one worker).
   if (num_threads == 0) num_threads = std::thread::hardware_concurrency();

@@ -29,9 +29,16 @@ class Histogram;
 
 class ThreadPool {
  public:
+  // The largest worker count a caller may ask for. Every user-facing worker
+  // count (CLI --threads, the spec's threads and store.encode_threads, a
+  // sweep's threads) is checked against it, so a typo such as --threads -1
+  // fails cleanly instead of trying to start 2^64 - 1 threads.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   // num_threads == 0 means one worker per hardware thread, at least one.
-  // `name` labels the pool's metrics and trace tracks; it must outlive the
-  // pool (use a literal).
+  // Throws std::invalid_argument, before starting any worker, when
+  // num_threads exceeds kMaxThreads. `name` labels the pool's metrics and
+  // trace tracks; it must outlive the pool (use a literal).
   explicit ThreadPool(std::size_t num_threads = 0, const char* name = "pool");
   ~ThreadPool();
 

@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "data/cifar_like.hpp"
 #include "data/fedprox_synthetic.hpp"
 #include "data/poets.hpp"
 #include "data/poisoning.hpp"
 #include "data/synthetic_digits.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
 
 namespace specdag::data {
 namespace {
@@ -116,6 +121,80 @@ TEST(FmnistRelaxed, ForeignFractionInRange) {
     EXPECT_GT(fraction, 0.05);
     EXPECT_LT(fraction, 0.35);
   }
+}
+
+// ------------------------------------------------ parallel dataset build ----
+
+// Builds `config.num_clients` clients and reports how many tasks the build
+// ran on its worker pool (0 = built on the calling thread).
+template <typename Generate>
+std::pair<FederatedDataset, std::uint64_t> build_counting_pool_tasks(
+    const SyntheticDigitsConfig& config, const Generate& generate) {
+  obs::Context context(/*metrics_on=*/true);
+  obs::ContextScope scope(&context);
+  FederatedDataset ds = generate(config);
+  return {std::move(ds), context.snapshot().counter("pool.data.tasks")};
+}
+
+bool same_bytes(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
+// A small build stays on the calling thread; a build of several hundred
+// clients runs on the pool wherever the host has two or more hardware
+// threads. Each client draws from its own index-derived stream, so every
+// client of the small build must equal the same-index client of the large
+// one byte for byte. Workers take clients by stride, so the small build's
+// indices span every worker of the large one.
+template <typename Generate>
+void expect_parallel_build_matches_serial(SyntheticDigitsConfig config,
+                                          const Generate& generate) {
+  config.samples_per_client = 10;
+  config.num_clients = 60;
+  const auto [serial, serial_tasks] = build_counting_pool_tasks(config, generate);
+  config.num_clients = 320;
+  const auto [parallel, parallel_tasks] = build_counting_pool_tasks(config, generate);
+  EXPECT_EQ(serial_tasks, 0u);
+  if (obs::kObsCompiledIn && std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GE(parallel_tasks, 2u);
+  }
+
+  EXPECT_EQ(serial.name, parallel.name);
+  ASSERT_EQ(parallel.clients.size(), 320u);
+  for (std::size_t i = 0; i < serial.clients.size(); ++i) {
+    const ClientData& a = serial.clients[i];
+    const ClientData& b = parallel.clients[i];
+    EXPECT_EQ(a.client_id, b.client_id) << i;
+    EXPECT_EQ(a.true_cluster, b.true_cluster) << i;
+    EXPECT_EQ(a.element_shape, b.element_shape) << i;
+    EXPECT_EQ(a.train_y, b.train_y) << i;
+    EXPECT_EQ(a.test_y, b.test_y) << i;
+    ASSERT_EQ(a.train_x.size(), b.train_x.size()) << i;
+    ASSERT_EQ(a.test_x.size(), b.test_x.size()) << i;
+    EXPECT_TRUE(same_bytes(a.train_x.data(), b.train_x.data(), a.train_x.size() * sizeof(float)))
+        << i;
+    EXPECT_TRUE(same_bytes(a.test_x.data(), b.test_x.data(), a.test_x.size() * sizeof(float)))
+        << i;
+  }
+  for (std::size_t i = 0; i < parallel.clients.size(); ++i) {
+    EXPECT_EQ(parallel.clients[i].client_id, static_cast<int>(i));
+  }
+}
+
+TEST(ParallelDatasetBuild, ByAuthorMatchesSerialBuild) {
+  expect_parallel_build_matches_serial(
+      small_digits(), [](const SyntheticDigitsConfig& c) { return make_fmnist_by_author(c); });
+}
+
+TEST(ParallelDatasetBuild, ClusteredMatchesSerialBuild) {
+  expect_parallel_build_matches_serial(small_digits(), make_fmnist_clustered);
+}
+
+TEST(ParallelDatasetBuild, RelaxedClusteredMatchesSerialBuild) {
+  SyntheticDigitsConfig config = small_digits();
+  config.relax_min = 0.15;
+  config.relax_max = 0.20;
+  expect_parallel_build_matches_serial(config, make_fmnist_clustered);
 }
 
 TEST(FmnistByAuthor, CoversAllClassesGlobally) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -11,6 +12,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sweep.hpp"
+#include "util/thread_pool.hpp"
 #include "temp_dir.hpp"
 
 namespace specdag {
@@ -180,6 +182,21 @@ TEST(ScenarioSpec, RejectsSeedsThatCannotRoundTripThroughJson) {
   EXPECT_THROW(scenario::Json((std::uint64_t{1} << 53) + 2), scenario::JsonError);
 }
 
+TEST(ScenarioSpec, CapsWorkerCounts) {
+  // Checked in validate(), before any pool starts a thread.
+  scenario::ScenarioSpec spec;
+  spec.threads = ThreadPool::kMaxThreads;
+  spec.store.encode_threads = ThreadPool::kMaxThreads;
+  EXPECT_NO_THROW(spec.validate());
+  spec.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.threads = std::numeric_limits<std::size_t>::max();  // what "--threads -1" once became
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.threads = 1;
+  spec.store.encode_threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
 // --------------------------------------------------------------- registry ---
 
 TEST(Registry, HasTheRequiredScenarios) {
@@ -322,6 +339,30 @@ TEST(Runner, PerfBucketsSplitEncodeOutOfCommitAndSumToTotal) {
   EXPECT_EQ(store_json->find("residency")->as_array().size(), result.series.size());
 }
 
+TEST(Runner, UtilizationCountsAsyncEncodeWorkers) {
+  // The encode bucket holds the background encoder's busy time, so the
+  // encoder must count among the workers utilization divides by; at one
+  // prepare thread it used to read above 1.
+  scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
+  spec.num_clients = 60;
+  spec.rounds = 6;
+  spec.threads = 1;
+  spec.store.async_encode = true;
+  spec.store.encode_threads = 1;
+  const scenario::ScenarioResult result = scenario::run_scenario(spec);
+  EXPECT_EQ(result.prepare_threads, 1u);
+  EXPECT_EQ(result.encode_threads, 1u);
+  EXPECT_GT(result.perf.encode_seconds, 0.0);
+
+  const scenario::Json json = scenario::result_to_json(result, false);
+  const scenario::Json* perf = json.find("summary")->find("perf");
+  ASSERT_NE(perf, nullptr);
+  EXPECT_EQ(perf->find("encode_threads")->as_uint(), 1u);
+  const double utilization = perf->find("utilization")->as_number();
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
+}
+
 TEST(Runner, CommunityMetricsEveryFillsSeriesPoints) {
   scenario::ScenarioSpec spec = tiny_spec("fmnist-clustered");
   spec.rounds = 6;
@@ -340,9 +381,10 @@ TEST(Runner, CommunityMetricsEveryFillsSeriesPoints) {
 TEST(Runner, ExportsDagAfterRun) {
   scenario::ScenarioSpec spec = tiny_spec("fmnist-clustered");
   spec.rounds = 3;
+  const TempDir scratch("export");
   scenario::RunOptions options;
-  options.export_dot = testing::TempDir() + "/specdag_export_test.dot";
-  options.export_jsonl = testing::TempDir() + "/specdag_export_test.jsonl";
+  options.export_dot = scratch.file("export_test.dot");
+  options.export_jsonl = scratch.file("export_test.jsonl");
   const scenario::ScenarioResult result = scenario::run_scenario(spec, options);
 
   std::ifstream dot(options.export_dot);
@@ -527,6 +569,16 @@ TEST(Sweep, ParallelSweepAttributesObsPerRun) {
   sweep.base.set_path("obs.trace", scenario::Json("sweep.trace.json"));
   EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
   EXPECT_FALSE(fs::exists(sweep.out_path + ".partial"));
+}
+
+TEST(Sweep, RejectsWorkerCountAboveCapBeforeAnySideEffect) {
+  const TempDir scratch("sweep-cap");
+  scenario::SweepSpec sweep;
+  sweep.base = scenario::spec_to_json(tiny_spec("fmnist-clustered"));
+  sweep.out_path = scratch.file("out/cap.jsonl");
+  sweep.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(scratch.file("out")));
 }
 
 TEST(Sweep, FixedSeedModeReusesBaseSeed) {

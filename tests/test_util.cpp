@@ -6,10 +6,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/csv.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -150,6 +154,34 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
   std::atomic<int> counter{0};
   pool.parallel_for(5, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 5);
+}
+
+TEST(ThreadPool, RejectsWorkerCountAboveCapWithoutStartingThreads) {
+  // The check runs before the first worker starts, so this test never asks
+  // the system for more than the cap.
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(std::numeric_limits<std::size_t>::max()), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------- parse ----
+
+TEST(ParseUint, AcceptsWholeDecimalTokensWithinRange) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("42"), 42u);
+  EXPECT_EQ(parse_uint("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_uint("1024", 1024), 1024u);
+}
+
+TEST(ParseUint, RejectsMalformedAndOutOfRangeTokens) {
+  // Each of these once parsed silently: "x" as 0, "-1" as 2^64 - 1, "4x"
+  // as 4, and an overflowing value saturated to 2^64 - 1.
+  for (const char* bad : {"", "x", "-1", "+1", " 1", "1 ", "4x", "1.5", "0x10", "1e3",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_uint(bad).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_uint("1025", 1024).has_value());
+  EXPECT_FALSE(parse_uint(std::to_string(ThreadPool::kMaxThreads + 1), ThreadPool::kMaxThreads)
+                   .has_value());
 }
 
 // -------------------------------------------------------------- logging ----
